@@ -1,0 +1,18 @@
+#include "stats_util.hpp"
+
+#include <algorithm>
+#include <cmath>
+
+namespace perfbench {
+
+double percentile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
+}
+
+}  // namespace perfbench
