@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/serialize.hpp"
 
 namespace dsm {
 
@@ -31,6 +32,19 @@ std::string VectorClock::to_string() const {
   }
   out << ']';
   return out.str();
+}
+
+void write_vclock(const VectorClock& vc, WireWriter& out) {
+  out.put(static_cast<std::uint32_t>(vc.size()));
+  for (const std::uint32_t c : vc.components()) out.put(c);
+}
+
+VectorClock read_vclock(WireReader& in, std::size_t n_nodes) {
+  const auto n = in.get<std::uint32_t>();
+  DSM_CHECK_MSG(n == n_nodes, "vector clock of " << n << " components, expected " << n_nodes);
+  VectorClock vc(n);
+  for (std::uint32_t i = 0; i < n; ++i) vc.set(i, in.get<std::uint32_t>());
+  return vc;
 }
 
 }  // namespace dsm

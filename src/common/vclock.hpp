@@ -10,6 +10,9 @@
 
 namespace dsm {
 
+class WireReader;
+class WireWriter;
+
 /// One logical-interval counter per node. Component i counts the intervals of
 /// node i that this clock has "seen" (knows all writes of).
 class VectorClock {
@@ -44,5 +47,11 @@ class VectorClock {
  private:
   std::vector<std::uint32_t> components_;
 };
+
+/// Wire codec: u32 n | n × u32 components. The length comes from the wire,
+/// so read_vclock rejects (DSM_CHECK, like any malformed payload) a clock
+/// whose length is not `n_nodes` before anyone indexes it by node id.
+void write_vclock(const VectorClock& vc, WireWriter& out);
+VectorClock read_vclock(WireReader& in, std::size_t n_nodes);
 
 }  // namespace dsm

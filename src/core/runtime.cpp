@@ -18,55 +18,28 @@ namespace dsm {
 // with a watchdog guard — a wedged wait becomes a diagnostic abort. Each is
 // also a fault-injection point: a seeded crash lands *between* operations
 // (maybe_kill throws before the operation starts), never mid-transaction.
-void Worker::acquire(LockId lock) {
+void Worker::sync_op(void (SyncAgent::*op)(std::uint32_t), const char* what,
+                     std::uint32_t id) {
   system_->maybe_kill(node_);
   const auto g = Watchdog::guard(system_->watchdog_.get(),
-                                 system_->watchdog_->slot_of(node_, tid_),
-                                 "lock-acquire", lock);
-  system_->nodes_[node_]->sync->acquire(lock);
+                                 system_->watchdog_->slot_of(node_, tid_), what, id);
+  (system_->nodes_[node_]->sync.get()->*op)(id);
 }
-void Worker::release(LockId lock) {
-  system_->maybe_kill(node_);
-  const auto g = Watchdog::guard(system_->watchdog_.get(),
-                                 system_->watchdog_->slot_of(node_, tid_),
-                                 "lock-release", lock);
-  system_->nodes_[node_]->sync->release(lock);
-}
+void Worker::acquire(LockId lock) { sync_op(&SyncAgent::acquire, "lock-acquire", lock); }
+void Worker::release(LockId lock) { sync_op(&SyncAgent::release, "lock-release", lock); }
 void Worker::acquire_read(LockId lock) {
-  system_->maybe_kill(node_);
-  const auto g = Watchdog::guard(system_->watchdog_.get(),
-                                 system_->watchdog_->slot_of(node_, tid_),
-                                 "rwlock-acquire-read", lock);
-  system_->nodes_[node_]->sync->acquire_read(lock);
+  sync_op(&SyncAgent::acquire_read, "rwlock-acquire-read", lock);
 }
 void Worker::release_read(LockId lock) {
-  system_->maybe_kill(node_);
-  const auto g = Watchdog::guard(system_->watchdog_.get(),
-                                 system_->watchdog_->slot_of(node_, tid_),
-                                 "rwlock-release-read", lock);
-  system_->nodes_[node_]->sync->release_read(lock);
+  sync_op(&SyncAgent::release_read, "rwlock-release-read", lock);
 }
 void Worker::acquire_write(LockId lock) {
-  system_->maybe_kill(node_);
-  const auto g = Watchdog::guard(system_->watchdog_.get(),
-                                 system_->watchdog_->slot_of(node_, tid_),
-                                 "rwlock-acquire-write", lock);
-  system_->nodes_[node_]->sync->acquire_write(lock);
+  sync_op(&SyncAgent::acquire_write, "rwlock-acquire-write", lock);
 }
 void Worker::release_write(LockId lock) {
-  system_->maybe_kill(node_);
-  const auto g = Watchdog::guard(system_->watchdog_.get(),
-                                 system_->watchdog_->slot_of(node_, tid_),
-                                 "rwlock-release-write", lock);
-  system_->nodes_[node_]->sync->release_write(lock);
+  sync_op(&SyncAgent::release_write, "rwlock-release-write", lock);
 }
-void Worker::barrier(BarrierId barrier) {
-  system_->maybe_kill(node_);
-  const auto g = Watchdog::guard(system_->watchdog_.get(),
-                                 system_->watchdog_->slot_of(node_, tid_),
-                                 "barrier", barrier);
-  system_->nodes_[node_]->sync->barrier(barrier);
-}
+void Worker::barrier(BarrierId barrier) { sync_op(&SyncAgent::barrier, "barrier", barrier); }
 
 void Worker::compute(std::uint64_t ops) {
   system_->nodes_[node_]->clock.advance(ops * system_->config().ns_per_op);

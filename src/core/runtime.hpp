@@ -88,6 +88,8 @@ class Worker {
   Worker(System& system, NodeId node, ThreadId tid = 0)
       : system_(&system), node_(node), tid_(tid) {}
   std::byte* view_base() const;
+  /// Runs a SyncAgent operation on lock/barrier `id` (see runtime.cpp).
+  void sync_op(void (SyncAgent::*op)(std::uint32_t), const char* what, std::uint32_t id);
   void bind_region(LockId lock, std::size_t offset, std::size_t size);
   void bind_barrier_region(BarrierId barrier, std::size_t offset, std::size_t size);
 

@@ -8,9 +8,8 @@
 #include "proto/page_io.hpp"
 
 namespace dsm {
-namespace {
 
-// Payload layouts:
+// Payload layouts (vector clocks use the common/vclock.hpp codec):
 //   lock request payload : u32 n | n×u32 vclock
 //   lock grant payload   : u32 n | vclock | u32 nrec |
 //                          nrec × { u32 node | u32 interval | u32 npages | pages }
@@ -19,20 +18,6 @@ namespace {
 //   kPageReply           : u32 page | raw page bytes
 //   kUpdate (flush)      : u32 page | bytes diff
 //   kUpdateAck           : (empty)
-
-void write_vclock(const VectorClock& vc, WireWriter& out) {
-  out.put(static_cast<std::uint32_t>(vc.size()));
-  for (std::size_t i = 0; i < vc.size(); ++i) out.put(vc[static_cast<NodeId>(i)]);
-}
-
-VectorClock read_vclock(WireReader& in) {
-  const auto n = in.get<std::uint32_t>();
-  VectorClock vc(n);
-  for (std::uint32_t i = 0; i < n; ++i) vc.set(i, in.get<std::uint32_t>());
-  return vc;
-}
-
-}  // namespace
 
 HlrcProtocol::HlrcProtocol(NodeContext& ctx)
     : Protocol(ctx), vc_(ctx.n_nodes), interval_log_(ctx.n_nodes), barrier_vc_(ctx.n_nodes) {}
@@ -332,7 +317,7 @@ void HlrcProtocol::fill_lock_grant(LockId, NodeId /*to*/,
   VectorClock horizon(ctx_.n_nodes);
   if (!request_payload.empty()) {
     WireReader r(request_payload);
-    horizon = read_vclock(r);
+    horizon = read_vclock(r, ctx_.n_nodes);
   }
   const MutexLock meta(meta_mutex_);
   write_vclock(vc_, out);
@@ -344,6 +329,8 @@ void HlrcProtocol::ingest_records(WireReader& in, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     IntervalRecord rec;
     rec.node = in.get<NodeId>();
+    DSM_CHECK_MSG(rec.node < interval_log_.size(),
+                  "hlrc: write notice from node " << rec.node << " out of range");
     rec.interval = in.get<std::uint32_t>();
     rec.pages = in.get_vector<PageId>();
     if (vc_.covers(rec.node, rec.interval)) continue;
@@ -364,7 +351,7 @@ void HlrcProtocol::ingest_records(WireReader& in, std::size_t count) {
 
 void HlrcProtocol::on_lock_granted(LockId, WireReader& in) {
   if (in.remaining() == 0) return;
-  const VectorClock granter_vc = read_vclock(in);
+  const VectorClock granter_vc = read_vclock(in, ctx_.n_nodes);
   const auto count = in.get<std::uint32_t>();
   const MutexLock meta(meta_mutex_);
   ingest_records(in, count);
@@ -385,7 +372,7 @@ void HlrcProtocol::fill_barrier_arrive(BarrierId, WireWriter& out) {
 }
 
 void HlrcProtocol::on_barrier_collect(BarrierId, NodeId /*from*/, WireReader& in) {
-  const VectorClock vc = read_vclock(in);
+  const VectorClock vc = read_vclock(in, ctx_.n_nodes);
   const auto count = in.get<std::uint32_t>();
   barrier_vc_.merge(vc);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -409,7 +396,7 @@ void HlrcProtocol::fill_barrier_release(BarrierId, WireWriter& out) {
 }
 
 void HlrcProtocol::on_barrier_release(BarrierId, WireReader& in) {
-  const VectorClock merged = read_vclock(in);
+  const VectorClock merged = read_vclock(in, ctx_.n_nodes);
   const auto count = in.get<std::uint32_t>();
   const MutexLock meta(meta_mutex_);
   ingest_records(in, count);

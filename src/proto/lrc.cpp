@@ -7,9 +7,8 @@
 #include "proto/page_io.hpp"
 
 namespace dsm {
-namespace {
 
-// Payload layouts:
+// Payload layouts (vector clocks use the common/vclock.hpp codec):
 //   lock request payload : u32 n | n×u32 vclock
 //   lock grant payload   : u32 n | n×u32 vclock | u64 lamport | u32 nrec |
 //                          nrec × { u32 node | u32 interval | u64 lamport |
@@ -22,20 +21,6 @@ namespace {
 //   barrier arrive/release payloads: u32 n | vclock | u64 lamport | u32 nrec |
 //       nrec × { u32 node | u32 interval | u64 lamport | u32 npages |
 //                npages × { u32 page | bytes diff } }
-
-void write_vclock(const VectorClock& vc, WireWriter& out) {
-  out.put(static_cast<std::uint32_t>(vc.size()));
-  for (std::size_t i = 0; i < vc.size(); ++i) out.put(vc[static_cast<NodeId>(i)]);
-}
-
-VectorClock read_vclock(WireReader& in) {
-  const auto n = in.get<std::uint32_t>();
-  VectorClock vc(n);
-  for (std::uint32_t i = 0; i < n; ++i) vc.set(i, in.get<std::uint32_t>());
-  return vc;
-}
-
-}  // namespace
 
 LrcProtocol::LrcProtocol(NodeContext& ctx)
     : Protocol(ctx),
@@ -336,7 +321,7 @@ void LrcProtocol::fill_lock_grant(LockId, NodeId /*to*/,
   VectorClock horizon(ctx_.n_nodes);
   if (!request_payload.empty()) {
     WireReader r(request_payload);
-    horizon = read_vclock(r);
+    horizon = read_vclock(r, ctx_.n_nodes);
   }
   const MutexLock meta(meta_mutex_);
   write_vclock(vc_, out);
@@ -349,6 +334,8 @@ void LrcProtocol::ingest_records(WireReader& in, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     IntervalRecord rec;
     rec.node = in.get<NodeId>();
+    DSM_CHECK_MSG(rec.node < interval_log_.size(),
+                  "lrc: write notice from node " << rec.node << " out of range");
     rec.interval = in.get<std::uint32_t>();
     rec.lamport = in.get<std::uint64_t>();
     rec.pages = in.get_vector<PageId>();
@@ -370,7 +357,7 @@ void LrcProtocol::ingest_records(WireReader& in, std::size_t count) {
 
 void LrcProtocol::on_lock_granted(LockId, WireReader& in) {
   if (in.remaining() == 0) return;  // first-ever grant: nothing to learn
-  const VectorClock granter_vc = read_vclock(in);
+  const VectorClock granter_vc = read_vclock(in, ctx_.n_nodes);
   const auto granter_lamport = in.get<std::uint64_t>();
   const auto count = in.get<std::uint32_t>();
   const MutexLock meta(meta_mutex_);
@@ -548,7 +535,7 @@ void LrcProtocol::on_barrier_collect(BarrierId, NodeId /*from*/, WireReader& in)
     DSM_CHECK_MSG(barrier_settle_round_ == settle,
                   "lrc: nodes disagree about the settle round");
   }
-  const VectorClock vc = read_vclock(in);
+  const VectorClock vc = read_vclock(in, ctx_.n_nodes);
   const auto lamport = in.get<std::uint64_t>();
   const auto count = in.get<std::uint32_t>();
   barrier_vc_.merge(vc);
@@ -580,7 +567,7 @@ void LrcProtocol::fill_barrier_release(BarrierId, WireWriter& out) {
 void LrcProtocol::on_barrier_release(BarrierId, WireReader& in) {
   const bool settle = in.get<std::uint8_t>() != 0;
   last_release_was_settle_ = settle;
-  const VectorClock merged = read_vclock(in);
+  const VectorClock merged = read_vclock(in, ctx_.n_nodes);
   const auto lamport = in.get<std::uint64_t>();
   const auto count = in.get<std::uint32_t>();
 

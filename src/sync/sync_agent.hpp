@@ -10,12 +10,20 @@
 //             (on_barrier_collect), then fill_barrier_release ──▶ everyone
 //             runs on_barrier_release.
 //
-// Lock policies (compared by bench_locks, F5):
-//   * kCentralized — request/grant/release all via the lock's home node;
-//     the home stores the last release payload and ships it with grants.
+// Every home-managed acquire runs through one state machine at the lock's
+// home (HomeLock): any number of readers or one exclusive holder, FIFO
+// queues per mode, queued writers blocking new readers, the last release
+// payload shipped with each grant, and a dead holder's token regenerated
+// exactly once under FT. acquire_read/acquire_write always use it.
+//
+// Lock policies for the plain acquire/release (compared by bench_locks, F5):
+//   * kCentralized — the mutex *is* the home machine's exclusive mode, so
+//     acquire() and acquire_write() on one lock id exclude each other and
+//     acquire_read() waits for both.
 //   * kForwardChain — the home only remembers the chain tail and forwards
 //     each request to it; grants flow holder → next holder directly, and an
-//     uncontended re-acquire by the last holder is free (lock caching).
+//     uncontended re-acquire by the last holder is free (lock caching). The
+//     chained token is separate from the id's rw state.
 #pragma once
 
 #include <deque>
@@ -23,6 +31,7 @@
 #include <set>
 #include <vector>
 
+#include "check/checker.hpp"
 #include "common/lock_order.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/context.hpp"
@@ -38,15 +47,15 @@ class SyncAgent {
   // --- application-thread operations --------------------------------------
   void acquire(LockId lock);
   void release(LockId lock);
-  /// Reader-writer mode: any number of concurrent readers OR one writer
-  /// (via the plain acquire/release above on the same lock id). Managed at
-  /// the lock's home under every policy; queued writers block new readers.
-  /// Grants carry the same consistency payload as write grants, so a reader
-  /// sees everything the last writer released.
+  /// Reader-writer mode: any number of concurrent readers OR one writer.
+  /// Managed at the lock's home under every policy; queued writers block new
+  /// readers. Grants carry the same consistency payload as write grants, so
+  /// a reader sees everything the last writer released.
   void acquire_read(LockId lock);
   void release_read(LockId lock);
-  /// The writer side of reader-writer mode. (Distinct from acquire():
-  /// rw locks are always home-managed and never cache the token.)
+  /// The writer side of reader-writer mode: the home's exclusive mode, which
+  /// is also what acquire() takes under the centralized policy. Never caches
+  /// the token.
   void acquire_write(LockId lock);
   void release_write(LockId lock);
   void barrier(BarrierId barrier);
@@ -72,26 +81,22 @@ class SyncAgent {
   void on_self_restart();
 
  private:
+  using LockMode = DsmChecker::LockMode;
+
   struct HomeLock {
-    bool held = false;                        // centralized: token is out
-    NodeId holder = kNoNode;                  // centralized: who holds it (FT)
-    std::deque<Message> waiting;              // centralized: queued requests
-    std::vector<std::byte> release_payload;   // centralized: last release's payload
+    std::vector<std::byte> release_payload;  // last release's payload, shipped with grants
+    NodeId writer = kNoNode;                  // exclusive holder, if any
+    // One entry per read grant out: a node's next app thread may be granted
+    // a read before the previous thread's release reaches the home.
+    std::multiset<NodeId> readers;
+    std::deque<NodeId> read_queue;            // queued requesters, FIFO
+    std::deque<NodeId> write_queue;
     NodeId tail = kNoNode;                    // forward-chain: last requester
-    // Reader-writer extension (always home-managed). A lock id is used in
-    // either mutex mode or rw mode by the application, not both at once.
-    std::uint32_t readers_active = 0;
-    bool rw_writer_active = false;
-    NodeId rw_writer = kNoNode;               // FT: current writer identity
-    std::set<NodeId> rw_readers;              // FT: current reader identities
-    std::deque<Message> rw_read_queue;
-    std::deque<Message> rw_write_queue;
   };
   struct LocalLock {
-    bool have_token = false;
-    bool in_cs = false;       // between acquire() return and release() call
+    bool have_token = false;  // forward-chain: the token is cached here
     bool granted = false;     // grant arrived; app thread may resume
-    bool in_read_cs = false;  // between acquire_read() and release_read()
+    std::optional<LockMode> held;  // between acquire return and release call
     std::optional<Message> successor;  // forwarded request awaiting our release
     // Multi-threaded nodes: at most one app thread per (node, lock) may be
     // between acquire entry and release exit at a time. The gate keeps the
@@ -104,16 +109,28 @@ class SyncAgent {
     std::uint32_t owner_ktid = 0;
   };
 
+  /// App thread: passes this node's gate on `lock` (see LocalLock::busy).
+  LocalLock& enter(LockId lock) REQUIRES(mutex_);
+  /// App thread: drops this node's `mode` hold on `lock` and opens the gate.
+  LocalLock& leave(LockId lock, LockMode mode) REQUIRES(mutex_);
+  /// App thread: sends a `mode` request for `lock` (to its home, or to the
+  /// chain for forward-chain mode 0) and blocks until the grant arrives.
+  void request_and_wait(LockId lock, std::uint8_t mode, const char* span_name);
+  /// App thread: consistency flush and checker release edge, which must
+  /// both precede any grant of `lock` to someone else.
+  void flush_for_release(LockId lock, LockMode mode);
+  /// App thread: releases a home-managed hold (mode 2 or 3) to the home.
+  void release_to_home(LockId lock, std::uint8_t mode);
+
   void handle_lock_request(const Message& msg);
   void handle_lock_grant(const Message& msg);
   void handle_lock_release(const Message& msg);
-  /// Home-side reader-writer state machine (request modes 2/3, releases).
-  void handle_rw_request(const Message& msg, LockId lock, NodeId origin, bool write,
-                         std::span<const std::byte> payload);
-  void handle_rw_release(LockId lock, bool write, std::span<const std::byte> payload,
-                         NodeId from);
-  /// Grants every queued rw request that is now admissible.
-  void rw_drain_queues(LockId lock);
+  /// Home-side state machine: request, release, and granting every queued
+  /// request that is now admissible.
+  void home_request(LockId lock, NodeId origin, bool exclusive);
+  void home_release(LockId lock, bool exclusive, std::span<const std::byte> payload,
+                    NodeId from);
+  void home_drain(LockId lock);
   void handle_barrier_arrive(const Message& msg);
   void handle_barrier_release(const Message& msg);
   /// Manager: has every live worker arrived (phase 0) / acked (phase 1)?
@@ -129,9 +146,10 @@ class SyncAgent {
 
   /// Home-side (forward-chain): route a fresh request to the chain tail.
   void route_to_tail(const Message& msg, LockId lock, NodeId origin);
-  /// Holder-side: grant the token to `origin` now.
+  /// Holder-side (forward-chain): grant the token to `origin` now.
   void send_grant(LockId lock, NodeId origin, std::span<const std::byte> request_payload);
-  void send_grant_centralized(LockId lock, NodeId origin);
+  /// Home-side: grant `lock` to `origin` with the stored release payload.
+  void send_home_grant(LockId lock, NodeId origin);
 
   NodeContext& ctx_;
   Protocol& protocol_;

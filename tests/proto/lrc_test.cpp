@@ -370,5 +370,75 @@ TEST(Lrc, ColdFaultAfterBarrierServedByHome) {
   EXPECT_GE(sys.stats().counter("net.msgs.PageRequest"), 1u);
 }
 
+// Malformed lock payloads from the wire: both LRC-family protocols must
+// reject a vector clock of the wrong length and a write notice from an
+// out-of-range node instead of indexing per-node state with them.
+class NoticeWireDeathTest : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  static constexpr std::size_t kNodes = 3;
+
+  System make_system() const {
+    Config cfg = lrc_config(kNodes);
+    cfg.protocol = GetParam();
+    return System(cfg);
+  }
+
+  // A vector clock of `len` zero components, as the lock payloads carry it.
+  static void put_clock(WireWriter& w, std::size_t len) {
+    w.put(static_cast<std::uint32_t>(len));
+    for (std::size_t i = 0; i < len; ++i) w.put(std::uint32_t{0});
+  }
+
+  // A grant payload in the layout fill_lock_grant writes (LRC adds lamport
+  // stamps), carrying one write notice from `node`.
+  std::vector<std::byte> grant(std::size_t clock_len, NodeId node) const {
+    const bool lamport = GetParam() == ProtocolKind::kLrc;
+    WireWriter w(64);
+    put_clock(w, clock_len);
+    if (lamport) w.put(std::uint64_t{0});
+    w.put(std::uint32_t{1});
+    w.put(node);
+    w.put(std::uint32_t{1});
+    if (lamport) w.put(std::uint64_t{0});
+    w.put_vector(std::vector<PageId>{});
+    return std::move(w).take();
+  }
+
+  static void deliver_grant(System& sys, std::span<const std::byte> payload) {
+    WireReader r(payload);
+    sys.protocol(1).on_lock_granted(0, r);
+  }
+};
+
+TEST_P(NoticeWireDeathTest, ShortClockInLockRequestAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  System sys = make_system();
+  WireWriter request(16);
+  put_clock(request, kNodes - 1);
+  const auto payload = std::move(request).take();
+  WireWriter out(64);
+  EXPECT_DEATH(sys.protocol(0).fill_lock_grant(0, 1, payload, out),
+               "vector clock of 2 components, expected 3");
+}
+
+TEST_P(NoticeWireDeathTest, ShortClockInLockGrantAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  System sys = make_system();
+  EXPECT_DEATH(deliver_grant(sys, grant(kNodes - 1, 2)),
+               "vector clock of 2 components, expected 3");
+}
+
+TEST_P(NoticeWireDeathTest, OutOfRangeNoticeNodeAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  System sys = make_system();
+  EXPECT_DEATH(deliver_grant(sys, grant(kNodes, 7)), "write notice from node 7 out of range");
+}
+
+INSTANTIATE_TEST_SUITE_P(LrcFamily, NoticeWireDeathTest,
+                         ::testing::Values(ProtocolKind::kLrc, ProtocolKind::kHlrc),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& pi) {
+                           return std::string(to_string(pi.param));
+                         });
+
 }  // namespace
 }  // namespace dsm

@@ -1,7 +1,8 @@
 // Sync-layer crash tests: a dead holder's lock token is regenerated exactly
-// once (the checker aborts on a double mint), reader-writer grants survive a
-// reader's death, and barriers settle against the live worker set instead of
-// waiting forever for a node that will never arrive.
+// once (the checker aborts on a double mint) whichever exclusive entry point
+// took it, reader-writer grants survive a reader's death, and barriers settle
+// against the live worker set instead of waiting forever for a node that
+// will never arrive.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,7 +30,19 @@ void wait_for(const std::atomic<bool>& flag) {
   while (!flag.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
-TEST(FtLockTest, DeadHolderTokenRegeneratedExactlyOnce) {
+// The two exclusive entry points — the centralized mutex (FT forces the
+// centralized policy) and the rw writer — are one mode of the home's lock
+// state machine, so a dead holder's token is regenerated the same way.
+struct ExclusiveEntry {
+  const char* name;
+  void (Worker::*acquire)(LockId);
+  void (Worker::*release)(LockId);
+};
+
+class FtExclusiveLockTest : public ::testing::TestWithParam<ExclusiveEntry> {};
+
+TEST_P(FtExclusiveLockTest, DeadHolderTokenRegeneratedExactlyOnce) {
+  const ExclusiveEntry entry = GetParam();
   Config cfg = ft_sync_config(3);
   cfg.ft.faults = {{/*node=*/2, /*kill_at=*/1'000'000'000, /*restart=*/false}};
   System sys(cfg);
@@ -37,20 +50,27 @@ TEST(FtLockTest, DeadHolderTokenRegeneratedExactlyOnce) {
   std::atomic<int> completed{0};
   sys.run([&](Worker& w) {
     if (w.id() == 2) {
-      w.acquire(0);
+      (w.*entry.acquire)(0);
       held = true;
       w.compute(1'000'000'000);  // dies inside the critical section
     } else {
       wait_for(held);
-      w.acquire(0);  // blocks until the dead holder's token is regenerated
+      (w.*entry.acquire)(0);  // blocks until the dead holder's token is regenerated
       completed++;
-      w.release(0);
+      (w.*entry.release)(0);
       w.barrier(0);
     }
   });
   EXPECT_EQ(completed.load(), 2);
   EXPECT_EQ(sys.stats().counter("ft.token_regens"), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ExclusiveEntryPoints, FtExclusiveLockTest,
+    ::testing::Values(ExclusiveEntry{"mutex", &Worker::acquire, &Worker::release},
+                      ExclusiveEntry{"rw_write", &Worker::acquire_write,
+                                     &Worker::release_write}),
+    [](const ::testing::TestParamInfo<ExclusiveEntry>& pi) { return pi.param.name; });
 
 TEST(FtLockTest, DeadReaderReleasesItsRwGrant) {
   Config cfg = ft_sync_config(3);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "core/dsm.hpp"
 
@@ -159,6 +161,79 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RwLockTest,
                            }
                            return s;
                          });
+
+// Under the centralized policy a mutex is the home state machine's exclusive
+// mode, so a reader of the same lock id waits for the mutex holder. With
+// check_level=assert any overlap aborts the run.
+TEST(RwLockSharedStateTest, CentralizedMutexExcludesReadersOfTheSameId) {
+  Config cfg = rw_config(ProtocolKind::kLrc, 2);
+  cfg.lock_policy = LockPolicy::kCentralized;
+  cfg.check_level = CheckLevel::kAssert;
+  System sys(cfg);
+  std::atomic<bool> held{false};
+  std::atomic<bool> released{false};
+  std::atomic<bool> read_after_release{false};
+  sys.run([&](Worker& w) {
+    if (w.id() == 0) {
+      w.acquire(0);
+      held = true;
+      // Hold until the home has queued the reader (bounded, so a wrong grant
+      // fails the expectations below instead of hanging the test).
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (sys.stats().counter("sync.lock_queued") == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      released = true;
+      w.release(0);
+    } else {
+      while (!held.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      w.acquire_read(0);
+      read_after_release = released.load();
+      w.release_read(0);
+    }
+  });
+  EXPECT_TRUE(read_after_release.load());
+  EXPECT_EQ(sys.stats().counter("sync.lock_queued"), 1u);
+}
+
+// Under forward-chain the cached mutex token is separate from the id's rw
+// state: a node that caches the token and holds a read of the same id hands
+// the token over at once. (The checker models one lock state per id, so this
+// mix runs unchecked.)
+TEST(RwLockSharedStateTest, ForwardChainTokenPassesWhileHolderReads) {
+  Config cfg = rw_config(ProtocolKind::kLrc, 2);
+  cfg.lock_policy = LockPolicy::kForwardChain;
+  System sys(cfg);
+  std::atomic<bool> reading{false};
+  std::atomic<bool> granted{false};
+  std::atomic<bool> granted_during_read{false};
+  sys.run([&](Worker& w) {
+    if (w.id() == 1) {
+      // Lock 0's home is node 0: fetch the token, then keep it cached.
+      w.acquire(0);
+      w.release(0);
+      w.acquire_read(0);
+      reading = true;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!granted.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      granted_during_read = granted.load();
+      w.release_read(0);
+      // The token moved on: this is a chain request, not a cached re-acquire.
+      w.acquire(0);
+      w.release(0);
+    } else {
+      while (!reading.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      w.acquire(0);
+      granted = true;
+      w.release(0);
+    }
+  });
+  EXPECT_TRUE(granted_during_read.load());
+  EXPECT_EQ(sys.stats().counter("sync.local_acquires"), 0u);
+}
 
 TEST(RwLockDeathTest, ReleaseReadWithoutAcquireAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
