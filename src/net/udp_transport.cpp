@@ -186,8 +186,12 @@ class UdpTransport final : public Transport {
   static int open_bound_socket(sockaddr_in* addr) {
     const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
     DSM_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    // Fixed ports only (dsmrun respawns a node on its old port): on an
+    // ephemeral bind SO_REUSEADDR lets two sockets share one port.
+    if (addr->sin_port != 0) {
+      const int one = 1;
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    }
     // Burst tolerance: a barrier fan-in from 32 nodes must not overflow the
     // default rcvbuf into (recoverable, but slow) retransmit storms.
     const int rcvbuf = 1 << 20;

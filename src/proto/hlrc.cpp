@@ -9,18 +9,17 @@
 
 namespace dsm {
 
-// Payload layouts (vector clocks use the common/vclock.hpp codec):
-//   lock request payload : u32 n | n×u32 vclock
-//   lock grant payload   : u32 n | vclock | u32 nrec |
-//                          nrec × { u32 node | u32 interval | u32 npages | pages }
-//   barrier arrive/release: same as grant payload
+// Payload layouts (lock and barrier notice payloads: proto/notice_log.hpp,
+// in its lamport-free format):
 //   kPageRequest         : u32 page | u32 requester
 //   kPageReply           : u32 page | raw page bytes
 //   kUpdate (flush)      : u32 page | bytes diff
 //   kUpdateAck           : (empty)
 
 HlrcProtocol::HlrcProtocol(NodeContext& ctx)
-    : Protocol(ctx), vc_(ctx.n_nodes), interval_log_(ctx.n_nodes), barrier_vc_(ctx.n_nodes) {}
+    : Protocol(ctx),
+      notices_(ctx.n_nodes, ctx.cfg->n_pages, /*lamport=*/false,
+               [this](const IntervalRecord& rec) { on_notice(rec); }) {}
 
 std::string_view HlrcProtocol::name() const { return "hlrc"; }
 
@@ -42,15 +41,12 @@ void HlrcProtocol::init_pages() {
     e.twin.reset();
   }
   const MutexLock meta(meta_mutex_);
-  vc_ = VectorClock(ctx_.n_nodes);
-  for (auto& log : interval_log_) log.clear();
+  notices_.reset();
   {
     const MutexLock lock(dirty_mutex_);
     dirty_pages_.clear();
   }
   flush_outstanding_ = 0;
-  barrier_records_.clear();
-  barrier_vc_ = VectorClock(ctx_.n_nodes);
 }
 
 // --------------------------------------------------------------------------
@@ -160,14 +156,10 @@ void HlrcProtocol::close_and_flush() {
     const MutexLock flush(flush_mutex_);
     flush_outstanding_ += static_cast<int>(dirty.size());
   }
-  IntervalRecord rec;
-  rec.node = ctx_.id;
-  rec.pages = dirty;
   {
     const MutexLock meta(meta_mutex_);
-    vc_.tick(ctx_.id);
-    if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-    rec.interval = vc_[ctx_.id];
+    notices_.add_interval(ctx_.id, dirty);
+    publish_vclock();
     for (const PageId page : dirty) {
       auto& e = ctx_.table->entry(page);
       const MutexLock lock(e.mutex);
@@ -191,7 +183,6 @@ void HlrcProtocol::close_and_flush() {
       w.put_bytes(diff);
       ctx_.send(MsgType::kUpdate, ctx_.home_of(page), std::move(w).take());
     }
-    interval_log_[ctx_.id].push_back(std::move(rec));
   }
 
   // Eager half of HLRC: the release is not complete (and no grant can be
@@ -289,123 +280,87 @@ void HlrcProtocol::handle_page_reply(const Message& msg) {
 
 void HlrcProtocol::fill_lock_request(LockId, WireWriter& out) {
   const MutexLock meta(meta_mutex_);
-  write_vclock(vc_, out);
-}
-
-void HlrcProtocol::write_records_after(const VectorClock& horizon, WireWriter& out) {
-  // meta_mutex_ held by the caller.
-  std::uint32_t count = 0;
-  for (const auto& log : interval_log_) {
-    for (const auto& rec : log) {
-      if (rec.interval > horizon[rec.node]) ++count;
-    }
-  }
-  out.put(count);
-  for (const auto& log : interval_log_) {
-    for (const auto& rec : log) {
-      if (rec.interval <= horizon[rec.node]) continue;
-      out.put(rec.node);
-      out.put(rec.interval);
-      out.put_vector(rec.pages);
-    }
-  }
+  notices_.write_request(out);
 }
 
 void HlrcProtocol::fill_lock_grant(LockId, NodeId /*to*/,
                                    std::span<const std::byte> request_payload,
                                    WireWriter& out) {
-  VectorClock horizon(ctx_.n_nodes);
-  if (!request_payload.empty()) {
-    WireReader r(request_payload);
-    horizon = read_vclock(r, ctx_.n_nodes);
-  }
   const MutexLock meta(meta_mutex_);
-  write_vclock(vc_, out);
-  write_records_after(horizon, out);
-}
-
-void HlrcProtocol::ingest_records(WireReader& in, std::size_t count) {
-  // meta_mutex_ held by the caller.
-  for (std::size_t i = 0; i < count; ++i) {
-    IntervalRecord rec;
-    rec.node = in.get<NodeId>();
-    DSM_CHECK_MSG(rec.node < interval_log_.size(),
-                  "hlrc: write notice from node " << rec.node << " out of range");
-    rec.interval = in.get<std::uint32_t>();
-    rec.pages = in.get_vector<PageId>();
-    if (vc_.covers(rec.node, rec.interval)) continue;
-    for (const PageId page : rec.pages) {
-      if (ctx_.home_of(page) == ctx_.id) continue;  // home copy is kept current
-      auto& e = ctx_.table->entry(page);
-      const MutexLock lock(e.mutex);
-      if (e.state != PageState::kInvalid) {
-        ctx_.view->protect(page, Access::kNone);
-        e.state = PageState::kInvalid;
-        page_io::note_state(ctx_, page, PageState::kInvalid);
-        ctx_.stats->counter("hlrc.notice_invalidations").add();
-      }
-    }
-    interval_log_[rec.node].push_back(std::move(rec));
-  }
+  notices_.write_grant(request_payload, out);
 }
 
 void HlrcProtocol::on_lock_granted(LockId, WireReader& in) {
-  if (in.remaining() == 0) return;
-  const VectorClock granter_vc = read_vclock(in, ctx_.n_nodes);
-  const auto count = in.get<std::uint32_t>();
   const MutexLock meta(meta_mutex_);
-  ingest_records(in, count);
-  vc_.merge(granter_vc);
-  if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
+  notices_.absorb(in);
+  publish_vclock();
+}
+
+void HlrcProtocol::fill_lock_release(LockId lock, WireWriter& out) {
+  const MutexLock meta(meta_mutex_);
+  notices_.write_release(lock, ctx_.lock_home(lock), out);
+}
+
+bool HlrcProtocol::on_home_release(LockId lock, WireReader& in) {
+  const MutexLock meta(meta_mutex_);
+  notices_.absorb_release(lock, in);
+  return true;
+}
+
+bool HlrcProtocol::fill_home_grant(LockId lock, std::span<const std::byte> request_payload,
+                                   WireWriter& out) {
+  const MutexLock meta(meta_mutex_);
+  notices_.write_home_grant(lock, request_payload, out);
+  return true;
+}
+
+void HlrcProtocol::on_home_granted(LockId lock, WireReader& in) {
+  const MutexLock meta(meta_mutex_);
+  notices_.absorb_home_grant(lock, in);
+  publish_vclock();
+}
+
+void HlrcProtocol::on_notice(const IntervalRecord& rec) {
+  for (const PageId page : rec.pages) {
+    if (ctx_.home_of(page) == ctx_.id) continue;  // home copy is kept current
+    auto& e = ctx_.table->entry(page);
+    const MutexLock lock(e.mutex);
+    if (e.state != PageState::kInvalid) {
+      ctx_.view->protect(page, Access::kNone);
+      e.state = PageState::kInvalid;
+      page_io::note_state(ctx_, page, PageState::kInvalid);
+      ctx_.stats->counter("hlrc.notice_invalidations").add();
+    }
+  }
+}
+
+void HlrcProtocol::publish_vclock() {
+  if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, notices_.vc());
 }
 
 void HlrcProtocol::fill_barrier_arrive(BarrierId, WireWriter& out) {
   const MutexLock meta(meta_mutex_);
-  write_vclock(vc_, out);
-  const auto& mine = interval_log_[ctx_.id];
-  out.put(static_cast<std::uint32_t>(mine.size()));
-  for (const auto& rec : mine) {
-    out.put(rec.node);
-    out.put(rec.interval);
-    out.put_vector(rec.pages);
-  }
+  notices_.write_arrive(ctx_.id, out);
 }
 
 void HlrcProtocol::on_barrier_collect(BarrierId, NodeId /*from*/, WireReader& in) {
-  const VectorClock vc = read_vclock(in, ctx_.n_nodes);
-  const auto count = in.get<std::uint32_t>();
-  barrier_vc_.merge(vc);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    IntervalRecord rec;
-    rec.node = in.get<NodeId>();
-    rec.interval = in.get<std::uint32_t>();
-    rec.pages = in.get_vector<PageId>();
-    barrier_records_.push_back(std::move(rec));
-  }
+  const MutexLock meta(meta_mutex_);
+  notices_.collect_arrive(in);
 }
 
 void HlrcProtocol::fill_barrier_release(BarrierId, WireWriter& out) {
-  write_vclock(barrier_vc_, out);
-  out.put(static_cast<std::uint32_t>(barrier_records_.size()));
-  for (const auto& rec : barrier_records_) {
-    out.put(rec.node);
-    out.put(rec.interval);
-    out.put_vector(rec.pages);
-  }
-  barrier_records_.clear();
+  const MutexLock meta(meta_mutex_);
+  notices_.write_barrier_release(out);
 }
 
 void HlrcProtocol::on_barrier_release(BarrierId, WireReader& in) {
-  const VectorClock merged = read_vclock(in, ctx_.n_nodes);
-  const auto count = in.get<std::uint32_t>();
   const MutexLock meta(meta_mutex_);
-  ingest_records(in, count);
-  vc_.merge(merged);
-  if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
+  notices_.absorb(in);
+  publish_vclock();
   // All homes were flushed before anyone arrived and everyone has now seen
   // every notice: the interval logs can be collected. (No diff caches exist
   // to collect — that is the point of HLRC.)
-  for (auto& log : interval_log_) log.clear();
+  notices_.collect_garbage();
 }
 
 // --------------------------------------------------------------------------

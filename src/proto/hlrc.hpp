@@ -18,6 +18,7 @@
 #include "common/lock_order.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/vclock.hpp"
+#include "proto/notice_log.hpp"
 #include "proto/protocol.hpp"
 
 namespace dsm {
@@ -37,30 +38,30 @@ class HlrcProtocol final : public Protocol {
                        WireWriter& out) override;
   void on_lock_granted(LockId, WireReader& in) override;
   void before_release(LockId) override;
+  void fill_lock_release(LockId lock, WireWriter& out) override;
+  bool on_home_release(LockId lock, WireReader& in) override;
+  bool fill_home_grant(LockId lock, std::span<const std::byte> request_payload,
+                       WireWriter& out) override;
+  void on_home_granted(LockId lock, WireReader& in) override;
   void before_barrier(BarrierId) override;
   void fill_barrier_arrive(BarrierId, WireWriter& out) override;
   void on_barrier_collect(BarrierId, NodeId from, WireReader& in) override;
   void fill_barrier_release(BarrierId, WireWriter& out) override;
   void on_barrier_release(BarrierId, WireReader& in) override;
 
-  const VectorClock& vclock() const { return vc_; }
+  const VectorClock& vclock() const NO_THREAD_SAFETY_ANALYSIS { return notices_.vc(); }
 
  private:
-  struct IntervalRecord {
-    NodeId node = kNoNode;
-    std::uint32_t interval = 0;
-    std::vector<PageId> pages;
-  };
-
   /// Closes the open interval: encode diffs, flush them to the pages'
   /// homes, wait for acks, record the interval. App thread.
   void close_and_flush();
 
-  /// Ingests interval records, invalidating noticed pages (except at their
-  /// home, whose copy is authoritative and already flushed-to).
-  void ingest_records(WireReader& in, std::size_t count) REQUIRES(meta_mutex_);
-  void write_records_after(const VectorClock& horizon, WireWriter& out)
-      REQUIRES(meta_mutex_);
+  /// NoticeLog callback: invalidates a freshly-noticed record's pages
+  /// (except at their home, whose copy is authoritative and already
+  /// flushed-to).
+  void on_notice(const IntervalRecord& rec);
+  /// Tells dsmcheck about this node's clock after it changed.
+  void publish_vclock() REQUIRES(meta_mutex_);
 
   void handle_page_request(const Message& msg);
   void handle_page_reply(const Message& msg);
@@ -71,8 +72,7 @@ class HlrcProtocol final : public Protocol {
 
   // ---- metadata, guarded by meta_mutex_ ----
   mutable Mutex meta_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  VectorClock vc_ GUARDED_BY(meta_mutex_);
-  std::vector<std::vector<IntervalRecord>> interval_log_ GUARDED_BY(meta_mutex_);
+  NoticeLog notices_ GUARDED_BY(meta_mutex_);
 
   // ---- flush rendezvous ----
   Mutex flush_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
@@ -85,10 +85,6 @@ class HlrcProtocol final : public Protocol {
   // leaf mutex, as in LRC.
   Mutex dirty_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
   std::vector<PageId> dirty_pages_ GUARDED_BY(dirty_mutex_);
-
-  // ---- barrier manager scratch ----
-  std::vector<IntervalRecord> barrier_records_;
-  VectorClock barrier_vc_;
 };
 
 }  // namespace dsm

@@ -8,26 +8,20 @@
 
 namespace dsm {
 
-// Payload layouts (vector clocks use the common/vclock.hpp codec):
-//   lock request payload : u32 n | n×u32 vclock
-//   lock grant payload   : u32 n | n×u32 vclock | u64 lamport | u32 nrec |
-//                          nrec × { u32 node | u32 interval | u64 lamport |
-//                                   u32 npages | npages×u32 }
+// Payload layouts (lock and barrier notice payloads: proto/notice_log.hpp,
+// in its lamport-stamped format; barrier payloads lead with u8 settle):
 //   kPageRequest         : u32 page | u32 requester
 //   kPageReply           : u32 page | raw page bytes
 //   kDiffRequest         : u32 page | u32 requester | u32 n | n×u32 intervals
 //   kDiffReply           : u32 page | u32 n | n × { u32 interval | u64 lamport |
 //                                                   bytes diff }
-//   barrier arrive/release payloads: u32 n | vclock | u64 lamport | u32 nrec |
-//       nrec × { u32 node | u32 interval | u64 lamport | u32 npages |
-//                npages × { u32 page | bytes diff } }
+//   kUpdate (settle push): u32 page | u32 interval | u64 lamport | bytes diff
 
 LrcProtocol::LrcProtocol(NodeContext& ctx)
     : Protocol(ctx),
-      vc_(ctx.n_nodes),
-      interval_log_(ctx.n_nodes),
-      pending_(ctx.cfg->n_pages),
-      barrier_vc_(ctx.n_nodes) {}
+      notices_(ctx.n_nodes, ctx.cfg->n_pages, /*lamport=*/true,
+               [this](const IntervalRecord& rec) { on_notice(rec); }),
+      pending_(ctx.cfg->n_pages) {}
 
 std::string_view LrcProtocol::name() const { return "lrc"; }
 
@@ -53,24 +47,19 @@ void LrcProtocol::init_pages() {
     pending_[p].clear();
   }
   const MutexLock meta(meta_mutex_);
-  vc_ = VectorClock(ctx_.n_nodes);
-  lamport_ = 0;
-  for (auto& log : interval_log_) log.clear();
+  notices_.reset();
   diff_cache_.clear();
   diff_inbox_.clear();
   {
     const MutexLock lock(dirty_mutex_);
     dirty_pages_.clear();
   }
-  barrier_records_.clear();
   barrier_gen_.clear();
-  barrier_settle_round_ = false;
+  barrier_settle_round_.reset();
   arriving_at_settle_ = false;
   last_release_was_settle_ = false;
   settle_buffer_.clear();
   push_outstanding_ = 0;
-  barrier_vc_ = VectorClock(ctx_.n_nodes);
-  barrier_lamport_ = 0;
 }
 
 // --------------------------------------------------------------------------
@@ -206,24 +195,16 @@ void LrcProtocol::close_interval() {
   }
   if (dirty.empty()) return;
   const MutexLock meta(meta_mutex_);
-  ++lamport_;
-  vc_.tick(ctx_.id);
-  if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-  const std::uint32_t interval = vc_[ctx_.id];
-
-  IntervalRecord rec;
-  rec.node = ctx_.id;
-  rec.interval = interval;
-  rec.lamport = lamport_;
-  rec.pages = dirty;
+  const IntervalRecord& rec = notices_.add_interval(ctx_.id, dirty);
+  publish_vclock();
 
   for (const PageId page : dirty) {
     auto& e = ctx_.table->entry(page);
     const MutexLock lock(e.mutex);
     DSM_CHECK(e.dirty && e.twin != nullptr);
     DiffRecord d;
-    d.interval = interval;
-    d.lamport = lamport_;
+    d.interval = rec.interval;
+    d.lamport = rec.lamport;
     d.writer = ctx_.id;
     // Read through the service window: the page may have been invalidated
     // (PROT_NONE) while dirty, and a fault here would deadlock on our own
@@ -245,7 +226,6 @@ void LrcProtocol::close_interval() {
       page_io::note_state(ctx_, page, PageState::kInvalid);
     }
   }
-  interval_log_[ctx_.id].push_back(std::move(rec));
   ctx_.stats->counter("lrc.intervals").add();
 }
 
@@ -292,79 +272,62 @@ void LrcProtocol::push_diffs_to_homes() {
 
 void LrcProtocol::fill_lock_request(LockId, WireWriter& out) {
   const MutexLock meta(meta_mutex_);
-  write_vclock(vc_, out);
-}
-
-void LrcProtocol::write_records_after(const VectorClock& horizon, WireWriter& out) {
-  // meta_mutex_ held by the caller.
-  std::uint32_t count = 0;
-  for (const auto& log : interval_log_) {
-    for (const auto& rec : log) {
-      if (rec.interval > horizon[rec.node]) ++count;
-    }
-  }
-  out.put(count);
-  for (const auto& log : interval_log_) {
-    for (const auto& rec : log) {
-      if (rec.interval <= horizon[rec.node]) continue;
-      out.put(rec.node);
-      out.put(rec.interval);
-      out.put(rec.lamport);
-      out.put_vector(rec.pages);
-    }
-  }
+  notices_.write_request(out);
 }
 
 void LrcProtocol::fill_lock_grant(LockId, NodeId /*to*/,
                                   std::span<const std::byte> request_payload,
                                   WireWriter& out) {
-  VectorClock horizon(ctx_.n_nodes);
-  if (!request_payload.empty()) {
-    WireReader r(request_payload);
-    horizon = read_vclock(r, ctx_.n_nodes);
-  }
   const MutexLock meta(meta_mutex_);
-  write_vclock(vc_, out);
-  out.put(lamport_);
-  write_records_after(horizon, out);
-}
-
-void LrcProtocol::ingest_records(WireReader& in, std::size_t count) {
-  // meta_mutex_ held by the caller.
-  for (std::size_t i = 0; i < count; ++i) {
-    IntervalRecord rec;
-    rec.node = in.get<NodeId>();
-    DSM_CHECK_MSG(rec.node < interval_log_.size(),
-                  "lrc: write notice from node " << rec.node << " out of range");
-    rec.interval = in.get<std::uint32_t>();
-    rec.lamport = in.get<std::uint64_t>();
-    rec.pages = in.get_vector<PageId>();
-    if (vc_.covers(rec.node, rec.interval)) continue;  // already known
-    for (const PageId page : rec.pages) {
-      auto& e = ctx_.table->entry(page);
-      const MutexLock lock(e.mutex);
-      pending_[page].push_back(WriteNotice{rec.node, rec.interval, rec.lamport});
-      if (e.state != PageState::kInvalid) {
-        ctx_.view->protect(page, Access::kNone);
-        e.state = PageState::kInvalid;
-        page_io::note_state(ctx_, page, PageState::kInvalid);
-        ctx_.stats->counter("lrc.notice_invalidations").add();
-      }
-    }
-    interval_log_[rec.node].push_back(std::move(rec));
-  }
+  notices_.write_grant(request_payload, out);
 }
 
 void LrcProtocol::on_lock_granted(LockId, WireReader& in) {
-  if (in.remaining() == 0) return;  // first-ever grant: nothing to learn
-  const VectorClock granter_vc = read_vclock(in, ctx_.n_nodes);
-  const auto granter_lamport = in.get<std::uint64_t>();
-  const auto count = in.get<std::uint32_t>();
   const MutexLock meta(meta_mutex_);
-  ingest_records(in, count);
-  vc_.merge(granter_vc);
-  if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-  lamport_ = std::max(lamport_, granter_lamport);
+  notices_.absorb(in);
+  publish_vclock();
+}
+
+void LrcProtocol::fill_lock_release(LockId lock, WireWriter& out) {
+  const MutexLock meta(meta_mutex_);
+  notices_.write_release(lock, ctx_.lock_home(lock), out);
+}
+
+bool LrcProtocol::on_home_release(LockId lock, WireReader& in) {
+  const MutexLock meta(meta_mutex_);
+  notices_.absorb_release(lock, in);
+  return true;
+}
+
+bool LrcProtocol::fill_home_grant(LockId lock, std::span<const std::byte> request_payload,
+                                  WireWriter& out) {
+  const MutexLock meta(meta_mutex_);
+  notices_.write_home_grant(lock, request_payload, out);
+  return true;
+}
+
+void LrcProtocol::on_home_granted(LockId lock, WireReader& in) {
+  const MutexLock meta(meta_mutex_);
+  notices_.absorb_home_grant(lock, in);
+  publish_vclock();
+}
+
+void LrcProtocol::on_notice(const IntervalRecord& rec) {
+  for (const PageId page : rec.pages) {
+    auto& e = ctx_.table->entry(page);
+    const MutexLock lock(e.mutex);
+    pending_[page].push_back(WriteNotice{rec.node, rec.interval, rec.lamport});
+    if (e.state != PageState::kInvalid) {
+      ctx_.view->protect(page, Access::kNone);
+      e.state = PageState::kInvalid;
+      page_io::note_state(ctx_, page, PageState::kInvalid);
+      ctx_.stats->counter("lrc.notice_invalidations").add();
+    }
+  }
+}
+
+void LrcProtocol::publish_vclock() {
+  if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, notices_.vc());
 }
 
 // --------------------------------------------------------------------------
@@ -506,79 +469,43 @@ void LrcProtocol::handle_diff_reply(const Message& msg) {
 // Barriers: the global settle-up and GC point
 // --------------------------------------------------------------------------
 
-// Barrier payload layout (both directions, both round kinds):
-//   u8 settle | u32 n | vclock | u64 lamport | u32 nrec |
-//       nrec × { u32 node | u32 interval | u64 lamport | u32 npages | pages }
-// Notices only: at a settle round the actual diffs were already unicast to
-// each page's home (push_diffs_to_homes) before anyone arrived.
+// Barrier payloads (both directions, both round kinds): u8 settle, then the
+// NoticeLog arrive/release payload. Notices only: at a settle round the
+// actual diffs were already unicast to each page's home
+// (push_diffs_to_homes) before anyone arrived.
 
 void LrcProtocol::fill_barrier_arrive(BarrierId, WireWriter& out) {
   const MutexLock meta(meta_mutex_);
   out.put(static_cast<std::uint8_t>(arriving_at_settle_ ? 1 : 0));
-  write_vclock(vc_, out);
-  out.put(lamport_);
-  const auto& mine = interval_log_[ctx_.id];
-  out.put(static_cast<std::uint32_t>(mine.size()));
-  for (const auto& rec : mine) {
-    out.put(rec.node);
-    out.put(rec.interval);
-    out.put(rec.lamport);
-    out.put_vector(rec.pages);
-  }
+  notices_.write_arrive(ctx_.id, out);
 }
 
 void LrcProtocol::on_barrier_collect(BarrierId, NodeId /*from*/, WireReader& in) {
   const bool settle = in.get<std::uint8_t>() != 0;
-  if (barrier_records_.empty()) {
-    barrier_settle_round_ = settle;
-  } else {
-    DSM_CHECK_MSG(barrier_settle_round_ == settle,
-                  "lrc: nodes disagree about the settle round");
-  }
-  const VectorClock vc = read_vclock(in, ctx_.n_nodes);
-  const auto lamport = in.get<std::uint64_t>();
-  const auto count = in.get<std::uint32_t>();
-  barrier_vc_.merge(vc);
-  barrier_lamport_ = std::max(barrier_lamport_, lamport);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    IntervalRecord rec;
-    rec.node = in.get<NodeId>();
-    rec.interval = in.get<std::uint32_t>();
-    rec.lamport = in.get<std::uint64_t>();
-    rec.pages = in.get_vector<PageId>();
-    barrier_records_.push_back(std::move(rec));
-  }
+  DSM_CHECK_MSG(barrier_settle_round_.value_or(settle) == settle,
+                "lrc: nodes disagree about the settle round");
+  barrier_settle_round_ = settle;
+  const MutexLock meta(meta_mutex_);
+  notices_.collect_arrive(in);
 }
 
 void LrcProtocol::fill_barrier_release(BarrierId, WireWriter& out) {
-  out.put(static_cast<std::uint8_t>(barrier_settle_round_ ? 1 : 0));
-  write_vclock(barrier_vc_, out);
-  out.put(barrier_lamport_);
-  out.put(static_cast<std::uint32_t>(barrier_records_.size()));
-  for (const auto& rec : barrier_records_) {
-    out.put(rec.node);
-    out.put(rec.interval);
-    out.put(rec.lamport);
-    out.put_vector(rec.pages);
-  }
-  barrier_records_.clear();
+  out.put(static_cast<std::uint8_t>(barrier_settle_round_.value_or(false) ? 1 : 0));
+  barrier_settle_round_.reset();
+  const MutexLock meta(meta_mutex_);
+  notices_.write_barrier_release(out);
 }
 
 void LrcProtocol::on_barrier_release(BarrierId, WireReader& in) {
   const bool settle = in.get<std::uint8_t>() != 0;
   last_release_was_settle_ = settle;
-  const VectorClock merged = read_vclock(in, ctx_.n_nodes);
-  const auto lamport = in.get<std::uint64_t>();
-  const auto count = in.get<std::uint32_t>();
 
   if (!settle) {
     // Lazy round: learn the merged write notices; data stays where it is
     // until someone faults. Diff caches and pending notices are retained.
     const MutexLock meta(meta_mutex_);
-    ingest_records(in, count);
-    vc_.merge(merged);
-    if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-    lamport_ = std::max(lamport_, lamport);
+    notices_.absorb(in);
+    publish_vclock();
     ctx_.stats->counter("lrc.lazy_barriers").add();
     return;
   }
@@ -591,13 +518,11 @@ void LrcProtocol::on_barrier_release(BarrierId, WireReader& in) {
   std::map<PageId, std::vector<DiffRecord>> pushed;
   {
     const MutexLock meta(meta_mutex_);
-    ingest_records(in, count);
-    vc_.merge(merged);
-    if (ctx_.check != nullptr) ctx_.check->on_vclock(ctx_.id, vc_);
-    lamport_ = std::max(lamport_, lamport);
+    notices_.absorb(in);
+    publish_vclock();
     pushed = std::move(settle_buffer_);
     settle_buffer_.clear();
-    for (auto& log : interval_log_) log.clear();
+    notices_.collect_garbage();
     diff_cache_.clear();
     DSM_CHECK(diff_inbox_.empty());
   }

@@ -16,11 +16,13 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/lock_order.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/vclock.hpp"
+#include "proto/notice_log.hpp"
 #include "proto/protocol.hpp"
 
 namespace dsm {
@@ -40,6 +42,11 @@ class LrcProtocol final : public Protocol {
                        WireWriter& out) override;
   void on_lock_granted(LockId, WireReader& in) override;
   void before_release(LockId) override;
+  void fill_lock_release(LockId lock, WireWriter& out) override;
+  bool on_home_release(LockId lock, WireReader& in) override;
+  bool fill_home_grant(LockId lock, std::span<const std::byte> request_payload,
+                       WireWriter& out) override;
+  void on_home_granted(LockId lock, WireReader& in) override;
   void before_barrier(BarrierId) override;
   void fill_barrier_arrive(BarrierId, WireWriter& out) override;
   void on_barrier_collect(BarrierId, NodeId from, WireReader& in) override;
@@ -54,17 +61,10 @@ class LrcProtocol final : public Protocol {
   bool barrier_needs_settlement() const override { return last_release_was_settle_; }
 
   /// Test hooks.
-  const VectorClock& vclock() const { return vc_; }
+  const VectorClock& vclock() const NO_THREAD_SAFETY_ANALYSIS { return notices_.vc(); }
   std::size_t cached_diffs() const;
 
  private:
-  /// One closed interval of one node: which pages it modified.
-  struct IntervalRecord {
-    NodeId node = kNoNode;
-    std::uint32_t interval = 0;   // that node's interval counter value
-    std::uint64_t lamport = 0;    // scalar sync stamp, for diff ordering
-    std::vector<PageId> pages;
-  };
   /// An unapplied write notice parked at a page.
   struct WriteNotice {
     NodeId writer = kNoNode;
@@ -92,18 +92,15 @@ class LrcProtocol final : public Protocol {
   void handle_diff_request(const Message& msg);
   void handle_diff_reply(const Message& msg);
 
-  /// Serializes interval records (without diffs) newer than `horizon`.
-  void write_records_after(const VectorClock& horizon, WireWriter& out)
-      REQUIRES(meta_mutex_);
-  /// Ingests records from a grant; invalidates freshly-noticed pages.
-  void ingest_records(WireReader& in, std::size_t count) REQUIRES(meta_mutex_);
+  /// NoticeLog callback: parks a freshly-noticed record's notices at its
+  /// pages and invalidates them.
+  void on_notice(const IntervalRecord& rec);
+  /// Tells dsmcheck about this node's clock after it changed.
+  void publish_vclock() REQUIRES(meta_mutex_);
 
   // ---- metadata, guarded by meta_mutex_ ----
   mutable Mutex meta_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
-  VectorClock vc_ GUARDED_BY(meta_mutex_);
-  std::uint64_t lamport_ GUARDED_BY(meta_mutex_) = 0;
-  /// interval_log_[n] = records of node n's intervals known here, ascending.
-  std::vector<std::vector<IntervalRecord>> interval_log_ GUARDED_BY(meta_mutex_);
+  NoticeLog notices_ GUARDED_BY(meta_mutex_);
   /// My own diffs: page → records ascending by interval.
   std::map<PageId, std::vector<DiffRecord>> diff_cache_ GUARDED_BY(meta_mutex_);
   /// Diff replies parked for the faulting app thread: page → records.
@@ -146,10 +143,9 @@ class LrcProtocol final : public Protocol {
   int push_outstanding_ GUARDED_BY(push_mutex_) = 0;
 
   // ---- barrier manager scratch (only used at the barrier home) ----
-  std::vector<IntervalRecord> barrier_records_;
-  bool barrier_settle_round_ = false;
-  VectorClock barrier_vc_;
-  std::uint64_t barrier_lamport_ = 0;
+  /// Whether the round being collected settles; unset before its first
+  /// arrival.
+  std::optional<bool> barrier_settle_round_;
 };
 
 }  // namespace dsm

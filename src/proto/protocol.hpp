@@ -58,21 +58,40 @@ class Protocol {
   /// App thread, acquirer: extra payload for the lock request (e.g. LRC
   /// vector clock, so the grantor can filter write notices).
   virtual void fill_lock_request(LockId, WireWriter&) {}
-  /// Grantor (service or app thread): payload to ship with the grant.
-  /// `request_payload` is the acquirer's fill_lock_request payload (may be
-  /// empty under the centralized policy when the home grants a free lock).
+  /// Forward-chain holder (service or app thread): payload to ship with a
+  /// holder-to-holder grant. `request_payload` is the acquirer's
+  /// fill_lock_request payload.
   virtual void fill_lock_grant(LockId, NodeId /*to*/,
                                std::span<const std::byte> /*request_payload*/,
                                WireWriter&) {}
   /// Acquirer's service thread, before the blocked app thread resumes:
-  /// consume the grant payload (apply diffs, invalidate noticed pages).
+  /// consume a holder grant payload (apply diffs, invalidate noticed pages).
   virtual void on_lock_granted(LockId, WireReader&) {}
   /// App thread, holder: called before the release is performed anywhere
   /// (eager RC flushes and waits for acks here; LRC closes its interval).
   virtual void before_release(LockId) {}
-  /// Holder: payload for a centralized-policy release message (the home
-  /// stores it and ships it with the next grant).
-  virtual void fill_lock_release(LockId, WireWriter&) {}
+
+  // --- home-managed locks (acquire_read/acquire_write, and acquire under
+  // kCentralized): releases go to the lock's home, which grants ----------
+  /// App thread, holder: payload for the release message to the home. By
+  /// default a holder grant for an acquirer that knows nothing.
+  virtual void fill_lock_release(LockId lock, WireWriter& out) {
+    fill_lock_grant(lock, kNoNode, {}, out);
+  }
+  /// Lock home's service thread: merge a release payload into the lock's
+  /// home-side state. Returns false if the protocol keeps none; the home
+  /// then stores the last release payload and ships it with every grant.
+  virtual bool on_home_release(LockId, WireReader&) { return false; }
+  /// Lock home's service thread: payload for a grant to a requester whose
+  /// fill_lock_request payload is `request_payload`. Returns false if the
+  /// protocol keeps no home-side state (the stored payload ships instead).
+  virtual bool fill_home_grant(LockId, std::span<const std::byte> /*request_payload*/,
+                               WireWriter&) {
+    return false;
+  }
+  /// Acquirer's service thread: consume a home grant payload. By default the
+  /// same as a holder grant.
+  virtual void on_home_granted(LockId lock, WireReader& in) { on_lock_granted(lock, in); }
 
   // --- barrier hooks -------------------------------------------------------
   /// App thread, before sending the arrive (eager RC flush; LRC interval).

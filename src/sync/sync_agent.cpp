@@ -186,9 +186,11 @@ void SyncAgent::request_and_wait(LockId lock, std::uint8_t mode, const char* spa
   const VirtualTime t0 = ctx_.clock->now();
   const TraceScope span(ctx_.trace, ctx_.id, TraceCat::kSync, span_name, ctx_.clock,
                         "lock", lock);
-  if (mode != kModeChain) {  // forward-chain acquire() entered to try its cached token
+  {
     const MutexLock guard(mutex_);
-    enter(lock);
+    // Forward-chain acquire() entered already, to try its cached token.
+    if (mode != kModeChain) enter(lock);
+    local_[lock].home_grant = mode != kModeChain;
   }
   WireWriter req(32);
   protocol_.fill_lock_request(lock, req);
@@ -229,8 +231,12 @@ void SyncAgent::release_to_home(LockId lock, std::uint8_t mode) {
     leave(lock, held);
   }
   cv_.notify_all();
+  // Composed and sent under one guard: a release payload may omit what an
+  // earlier release to the same home carried, so this node's releases must
+  // reach each home in the order they were composed.
+  const MutexLock order(release_mutex_);
   WireWriter payload(64);
-  protocol_.fill_lock_grant(lock, kNoNode, {}, payload);
+  protocol_.fill_lock_release(lock, payload);
   WireWriter w(payload.size() + 16);
   w.put(lock);
   w.put(mode);
@@ -251,7 +257,8 @@ void SyncAgent::handle_lock_request(const Message& msg) {
   if (ctx_.cfg->ft.enabled && !ctx_.net->liveness().worker_live(req.origin)) return;
 
   if (req.mode == kModeRead || req.mode == kModeWrite) {
-    home_request(req.lock, req.origin, req.mode == kModeWrite);
+    home_request(req.lock, {req.origin, {req.payload.begin(), req.payload.end()}},
+                 req.mode == kModeWrite);
     return;
   }
 
@@ -281,9 +288,8 @@ void SyncAgent::handle_lock_request(const Message& msg) {
   if (grant_now) send_grant(req.lock, req.origin, req.payload);
 }
 
-void SyncAgent::home_request(LockId lock, NodeId origin, bool exclusive) {
+void SyncAgent::home_request(LockId lock, Waiter waiter, bool exclusive) {
   DSM_CHECK(ctx_.lock_home(lock) == ctx_.id);
-  bool grant_now = false;
   {
     const MutexLock guard(mutex_);
     auto& H = home_[lock];
@@ -291,17 +297,17 @@ void SyncAgent::home_request(LockId lock, NodeId origin, bool exclusive) {
     const bool blocked = H.writer != kNoNode ||
                          (exclusive ? !H.readers.empty() : !H.write_queue.empty());
     if (blocked) {
-      (exclusive ? H.write_queue : H.read_queue).push_back(origin);
+      (exclusive ? H.write_queue : H.read_queue).push_back(std::move(waiter));
       ctx_.stats->counter("sync.lock_queued").add();
-    } else if (exclusive) {
-      H.writer = origin;
-      grant_now = true;
+      return;
+    }
+    if (exclusive) {
+      H.writer = waiter.node;
     } else {
-      H.readers.insert(origin);
-      grant_now = true;
+      H.readers.insert(waiter.node);
     }
   }
-  if (grant_now) send_home_grant(lock, origin);
+  send_home_grant(lock, waiter);
 }
 
 void SyncAgent::home_release(LockId lock, bool exclusive,
@@ -315,9 +321,6 @@ void SyncAgent::home_release(LockId lock, bool exclusive,
     if (ctx_.cfg->ft.enabled && (exclusive ? H.writer != from : reader == H.readers.end())) {
       return;
     }
-    // Knowledge dumps only grow between GCs, so the latest release payload
-    // (reader or writer) always covers every prior one.
-    H.release_payload.assign(payload.begin(), payload.end());
     if (exclusive) {
       DSM_CHECK(H.writer != kNoNode);
       H.writer = kNoNode;
@@ -326,29 +329,36 @@ void SyncAgent::home_release(LockId lock, bool exclusive,
       H.readers.erase(reader);
     }
   }
+  // Every release counts, not only the last: readers overlap, so the last
+  // release may know less than an earlier one. Only this service thread
+  // grants, so the merge lands before any grant below.
+  WireReader r(payload);
+  if (!protocol_.on_home_release(lock, r)) {
+    const MutexLock guard(mutex_);
+    home_[lock].release_payload.assign(payload.begin(), payload.end());
+  }
   home_drain(lock);
 }
 
 void SyncAgent::home_drain(LockId lock) {
   // Writer preference: a queued writer goes next once readers drain;
   // otherwise admit every queued reader at once.
-  std::vector<NodeId> grants;
+  std::deque<Waiter> grants;
   {
     const MutexLock guard(mutex_);
     auto& H = home_[lock];
     if (H.writer != kNoNode) return;
     if (!H.write_queue.empty()) {
       if (!H.readers.empty()) return;  // writer waits for readers to drain
-      H.writer = H.write_queue.front();
+      H.writer = H.write_queue.front().node;
+      grants.push_back(std::move(H.write_queue.front()));
       H.write_queue.pop_front();
-      grants.push_back(H.writer);
     } else {
-      H.readers.insert(H.read_queue.begin(), H.read_queue.end());
-      grants.assign(H.read_queue.begin(), H.read_queue.end());
-      H.read_queue.clear();
+      for (const auto& waiter : H.read_queue) H.readers.insert(waiter.node);
+      grants.swap(H.read_queue);
     }
   }
-  for (const NodeId origin : grants) send_home_grant(lock, origin);
+  for (const auto& waiter : grants) send_home_grant(lock, waiter);
 }
 
 void SyncAgent::route_to_tail(const Message& msg, LockId lock, NodeId origin) {
@@ -385,24 +395,37 @@ void SyncAgent::send_grant(LockId lock, NodeId origin,
   ctx_.send(MsgType::kLockGrant, origin, std::move(w).take());
 }
 
-void SyncAgent::send_home_grant(LockId lock, NodeId origin) {
-  std::vector<std::byte> stored;
-  {
+void SyncAgent::send_home_grant(LockId lock, const Waiter& waiter) {
+  WireWriter filled(64);
+  std::vector<std::byte> payload;
+  if (protocol_.fill_home_grant(lock, waiter.request, filled)) {
+    payload = std::move(filled).take();
+  } else {
     const MutexLock guard(mutex_);
-    stored = home_[lock].release_payload;
+    payload = home_[lock].release_payload;
   }
-  WireWriter w(stored.size() + 8);
+  WireWriter w(payload.size() + 8);
   w.put(lock);
-  w.put_bytes(stored);
-  ctx_.send(MsgType::kLockGrant, origin, std::move(w).take());
+  w.put_bytes(payload);
+  ctx_.send(MsgType::kLockGrant, waiter.node, std::move(w).take());
 }
 
 void SyncAgent::handle_lock_grant(const Message& msg) {
   WireReader r(msg.payload);
   const auto lock = r.get<LockId>();
   auto payload = r.get_bytes();
+  DSM_CHECK_MSG(lock < local_.size(), "grant of lock " << lock << " out of range");
+  bool home_grant;
+  {
+    const MutexLock guard(mutex_);
+    home_grant = local_[lock].home_grant;
+  }
   WireReader payload_reader(payload);
-  protocol_.on_lock_granted(lock, payload_reader);
+  if (home_grant) {
+    protocol_.on_home_granted(lock, payload_reader);
+  } else {
+    protocol_.on_lock_granted(lock, payload_reader);
+  }
   {
     const MutexLock guard(mutex_);
     local_[lock].granted = true;
@@ -582,8 +605,9 @@ void SyncAgent::on_peer_down(NodeId peer) {
     {
       const MutexLock guard(mutex_);
       auto& H = home_[l];
-      std::erase(H.read_queue, peer);
-      std::erase(H.write_queue, peer);
+      const auto from_peer = [peer](const Waiter& waiter) { return waiter.node == peer; };
+      std::erase_if(H.read_queue, from_peer);
+      std::erase_if(H.write_queue, from_peer);
       regenerated = H.readers.erase(peer) > 0;
       if (H.writer == peer) {
         H.writer = kNoNode;

@@ -3,18 +3,24 @@
 // consistency protocols piggyback their payloads (write notices, bound data)
 // through the Protocol hooks at well-defined points:
 //
-//   acquire:  fill_lock_request ──request──▶ grantor: fill_lock_grant
-//             ◀──grant── on_lock_granted (service thread) → app resumes
-//   release:  before_release (flush/interval close), then grant or release
+//   acquire:  fill_lock_request ──request──▶ holder: fill_lock_grant
+//             (home: fill_home_grant) ◀──grant── on_lock_granted
+//             (on_home_granted) on the service thread → app resumes
+//   release:  before_release (flush/interval close), then a holder grant,
+//             or fill_lock_release ──release──▶ home: on_home_release
 //   barrier:  before_barrier + fill_barrier_arrive ──▶ manager collects
 //             (on_barrier_collect), then fill_barrier_release ──▶ everyone
 //             runs on_barrier_release.
 //
 // Every home-managed acquire runs through one state machine at the lock's
 // home (HomeLock): any number of readers or one exclusive holder, FIFO
-// queues per mode, queued writers blocking new readers, the last release
-// payload shipped with each grant, and a dead holder's token regenerated
-// exactly once under FT. acquire_read/acquire_write always use it.
+// queues per mode, queued writers blocking new readers, and a dead holder's
+// token regenerated exactly once under FT. acquire_read/acquire_write always
+// use it. Releases go to the home (fill_lock_release → on_home_release); a
+// protocol with home-side state (LRC, HLRC: proto/notice_log.hpp) merges
+// every release and fills each grant with what that requester lacks
+// (fill_home_grant → on_home_granted); for the others the home ships the
+// last release payload with each grant.
 //
 // Lock policies for the plain acquire/release (compared by bench_locks, F5):
 //   * kCentralized — the mutex *is* the home machine's exclusive mode, so
@@ -83,19 +89,28 @@ class SyncAgent {
  private:
   using LockMode = DsmChecker::LockMode;
 
+  /// A request queued at the home, with its protocol payload (the
+  /// requester's clock, which filters what its grant ships).
+  struct Waiter {
+    NodeId node = kNoNode;
+    std::vector<std::byte> request;
+  };
   struct HomeLock {
-    std::vector<std::byte> release_payload;  // last release's payload, shipped with grants
+    // Protocols without home-side lock state (Protocol::on_home_release
+    // returns false): the last release's payload, shipped with grants.
+    std::vector<std::byte> release_payload;
     NodeId writer = kNoNode;                  // exclusive holder, if any
     // One entry per read grant out: a node's next app thread may be granted
     // a read before the previous thread's release reaches the home.
     std::multiset<NodeId> readers;
-    std::deque<NodeId> read_queue;            // queued requesters, FIFO
-    std::deque<NodeId> write_queue;
+    std::deque<Waiter> read_queue;            // queued requesters, FIFO
+    std::deque<Waiter> write_queue;
     NodeId tail = kNoNode;                    // forward-chain: last requester
   };
   struct LocalLock {
     bool have_token = false;  // forward-chain: the token is cached here
     bool granted = false;     // grant arrived; app thread may resume
+    bool home_grant = false;  // the awaited grant comes from the home
     std::optional<LockMode> held;  // between acquire return and release call
     std::optional<Message> successor;  // forwarded request awaiting our release
     // Multi-threaded nodes: at most one app thread per (node, lock) may be
@@ -127,7 +142,7 @@ class SyncAgent {
   void handle_lock_release(const Message& msg);
   /// Home-side state machine: request, release, and granting every queued
   /// request that is now admissible.
-  void home_request(LockId lock, NodeId origin, bool exclusive);
+  void home_request(LockId lock, Waiter waiter, bool exclusive);
   void home_release(LockId lock, bool exclusive, std::span<const std::byte> payload,
                     NodeId from);
   void home_drain(LockId lock);
@@ -148,8 +163,9 @@ class SyncAgent {
   void route_to_tail(const Message& msg, LockId lock, NodeId origin);
   /// Holder-side (forward-chain): grant the token to `origin` now.
   void send_grant(LockId lock, NodeId origin, std::span<const std::byte> request_payload);
-  /// Home-side: grant `lock` to `origin` with the stored release payload.
-  void send_home_grant(LockId lock, NodeId origin);
+  /// Home-side: grant `lock` to a waiter, with what the protocol's home
+  /// state says it lacks (or the stored release payload).
+  void send_home_grant(LockId lock, const Waiter& waiter);
 
   NodeContext& ctx_;
   Protocol& protocol_;
@@ -159,6 +175,9 @@ class SyncAgent {
   // composed and shipped outside the guard scopes.
   Mutex mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
   CondVar cv_;
+  // App threads: held from composing a release to the home until it is
+  // sent, so releases leave in the order their payloads were composed.
+  Mutex release_mutex_ ACQUIRED_BEFORE(lock_order::fabric_gate);
   std::vector<HomeLock> home_ GUARDED_BY(mutex_);   // by LockId; home == self
   std::vector<LocalLock> local_ GUARDED_BY(mutex_); // indexed by LockId
   std::vector<std::uint64_t> barrier_gen_

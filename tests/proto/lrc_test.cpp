@@ -370,9 +370,10 @@ TEST(Lrc, ColdFaultAfterBarrierServedByHome) {
   EXPECT_GE(sys.stats().counter("net.msgs.PageRequest"), 1u);
 }
 
-// Malformed lock payloads from the wire: both LRC-family protocols must
-// reject a vector clock of the wrong length and a write notice from an
-// out-of-range node instead of indexing per-node state with them.
+// Malformed lock payloads from the wire (grants, and releases reaching a
+// lock's home): both LRC-family protocols must reject a vector clock of the
+// wrong length and a write notice from an out-of-range node instead of
+// indexing per-node state with them.
 class NoticeWireDeathTest : public ::testing::TestWithParam<ProtocolKind> {
  protected:
   static constexpr std::size_t kNodes = 3;
@@ -390,8 +391,9 @@ class NoticeWireDeathTest : public ::testing::TestWithParam<ProtocolKind> {
   }
 
   // A grant payload in the layout fill_lock_grant writes (LRC adds lamport
-  // stamps), carrying one write notice from `node`.
-  std::vector<std::byte> grant(std::size_t clock_len, NodeId node) const {
+  // stamps), carrying one write notice from `node` for `pages`.
+  std::vector<std::byte> grant(std::size_t clock_len, NodeId node,
+                               const std::vector<PageId>& pages = {}) const {
     const bool lamport = GetParam() == ProtocolKind::kLrc;
     WireWriter w(64);
     put_clock(w, clock_len);
@@ -400,13 +402,19 @@ class NoticeWireDeathTest : public ::testing::TestWithParam<ProtocolKind> {
     w.put(node);
     w.put(std::uint32_t{1});
     if (lamport) w.put(std::uint64_t{0});
-    w.put_vector(std::vector<PageId>{});
+    w.put_vector(pages);
     return std::move(w).take();
   }
 
   static void deliver_grant(System& sys, std::span<const std::byte> payload) {
     WireReader r(payload);
     sys.protocol(1).on_lock_granted(0, r);
+  }
+
+  // A release reaching lock 0's home (node 0); same layout as a grant.
+  static void deliver_release(System& sys, std::span<const std::byte> payload) {
+    WireReader r(payload);
+    sys.protocol(0).on_home_release(0, r);
   }
 };
 
@@ -432,6 +440,26 @@ TEST_P(NoticeWireDeathTest, OutOfRangeNoticeNodeAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   System sys = make_system();
   EXPECT_DEATH(deliver_grant(sys, grant(kNodes, 7)), "write notice from node 7 out of range");
+}
+
+TEST_P(NoticeWireDeathTest, OutOfRangeNoticePageAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  System sys = make_system();
+  EXPECT_DEATH(deliver_grant(sys, grant(kNodes, 2, {1u << 20})),
+               "write notice for page 1048576 out of range");
+}
+
+TEST_P(NoticeWireDeathTest, ShortClockInHomeReleaseAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  System sys = make_system();
+  EXPECT_DEATH(deliver_release(sys, grant(kNodes - 1, 2)),
+               "vector clock of 2 components, expected 3");
+}
+
+TEST_P(NoticeWireDeathTest, OutOfRangeNoticeNodeInHomeReleaseAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  System sys = make_system();
+  EXPECT_DEATH(deliver_release(sys, grant(kNodes, 7)), "write notice from node 7 out of range");
 }
 
 INSTANTIATE_TEST_SUITE_P(LrcFamily, NoticeWireDeathTest,

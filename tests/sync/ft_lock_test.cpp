@@ -11,6 +11,8 @@
 
 #include "core/dsm.hpp"
 
+#include "../gtest_util.hpp"
+
 namespace dsm {
 namespace {
 
@@ -39,7 +41,10 @@ struct ExclusiveEntry {
   void (Worker::*release)(LockId);
 };
 
-class FtExclusiveLockTest : public ::testing::TestWithParam<ExclusiveEntry> {};
+class FtExclusiveLockTest : public ::testing::TestWithParam<ExclusiveEntry> {
+ protected:
+  void SetUp() override { TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE(); }
+};
 
 TEST_P(FtExclusiveLockTest, DeadHolderTokenRegeneratedExactlyOnce) {
   const ExclusiveEntry entry = GetParam();
@@ -73,6 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ExclusiveEntry>& pi) { return pi.param.name; });
 
 TEST(FtLockTest, DeadReaderReleasesItsRwGrant) {
+  TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE();
   Config cfg = ft_sync_config(3);
   cfg.ft.faults = {{/*node=*/2, /*kill_at=*/1'000'000'000, /*restart=*/false}};
   System sys(cfg);
@@ -95,6 +101,7 @@ TEST(FtLockTest, DeadReaderReleasesItsRwGrant) {
 }
 
 TEST(FtLockTest, BarrierSettlesAgainstTheLiveWorkerSet) {
+  TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE();
   Config cfg = ft_sync_config(3);
   cfg.ft.faults = {{/*node=*/2, /*kill_at=*/1'000'000'000, /*restart=*/false}};
   System sys(cfg);

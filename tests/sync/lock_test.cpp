@@ -6,6 +6,8 @@
 
 #include "core/dsm.hpp"
 
+#include "../gtest_util.hpp"
+
 namespace dsm {
 namespace {
 
@@ -16,6 +18,7 @@ struct LockCase {
 
 class LockTest : public ::testing::TestWithParam<LockCase> {
  protected:
+  void SetUp() override { TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE(); }
   Config make_config(std::size_t nodes) const {
     Config cfg;
     cfg.n_nodes = nodes;

@@ -9,7 +9,7 @@
 
 #include "core/dsm.hpp"
 
-#include "../test_util.hpp"
+#include "../gtest_util.hpp"
 
 namespace dsm {
 namespace {
@@ -23,7 +23,10 @@ Config rw_config(ProtocolKind protocol, std::size_t nodes) {
   return cfg;
 }
 
-class RwLockTest : public ::testing::TestWithParam<ProtocolKind> {};
+class RwLockTest : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  void SetUp() override { TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE(); }
+};
 
 TEST_P(RwLockTest, ReadersOverlapWritersExclude) {
   System sys(rw_config(GetParam(), 6));
@@ -162,10 +165,80 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RwLockTest,
                            return s;
                          });
 
+// A lock's home must remember what *every* releaser knew, not just the last
+// one: readers overlap, so the last release can know less than an earlier
+// one. R1 learns A's write of x through mutex 2 while read-holding lock 1;
+// R2, which never saw that write, releases lock 1 last. The writer D that
+// acquires lock 1 next is ordered after R1's release and must read 42, even
+// though its own copy of x is still valid from before the barrier.
+class RwNoticeTest : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  void SetUp() override { TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE(); }
+};
+
+TEST_P(RwNoticeTest, WriterAfterOverlappingReadersSeesEarlierReleasersNotices) {
+  Config cfg = rw_config(GetParam(), 4);
+  cfg.check_level = CheckLevel::kAssert;
+  System sys(cfg);
+  (void)sys.alloc_page_aligned<std::uint64_t>();            // page 0
+  const auto x = sys.alloc_page_aligned<std::uint64_t>();   // page 1, home node 1
+  constexpr NodeId kA = 0, kR1 = 1, kR2 = 2, kD = 3;
+  std::atomic<bool> a_done{false}, r2_in{false}, r1_done{false}, r2_done{false};
+  std::atomic<std::uint64_t> seen{0};
+  const auto wait_for = [](const std::atomic<bool>& flag) {
+    while (!flag.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+
+  sys.run([&](Worker& w) {
+    if (w.id() == kD) (void)test::force_read(w.get(x));  // D caches a valid copy
+    w.barrier(0);
+    switch (w.id()) {
+      case kA:
+        w.acquire(2);
+        *w.get(x) = 42;
+        w.release(2);
+        a_done = true;
+        break;
+      case kR1:
+        wait_for(a_done);
+        wait_for(r2_in);
+        w.acquire_read(1);
+        w.acquire(2);  // learns A's write notice
+        w.release(2);
+        w.release_read(1);
+        r1_done = true;
+        break;
+      case kR2:
+        w.acquire_read(1);
+        r2_in = true;
+        wait_for(r1_done);
+        w.compute(100'000'000);  // its release is also the latest in virtual time
+        w.release_read(1);
+        r2_done = true;
+        break;
+      case kD:
+        wait_for(r2_done);
+        w.acquire_write(1);
+        seen = test::force_read(w.get(x));
+        w.release_write(1);
+        break;
+    }
+    w.barrier(0);
+  });
+  EXPECT_EQ(seen.load(), 42u);
+}
+
+INSTANTIATE_TEST_SUITE_P(LrcFamily, RwNoticeTest,
+                         ::testing::Values(ProtocolKind::kLrc, ProtocolKind::kHlrc),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& pi) {
+                           return std::string(to_string(pi.param));
+                         });
+
 // Under the centralized policy a mutex is the home state machine's exclusive
 // mode, so a reader of the same lock id waits for the mutex holder. With
 // check_level=assert any overlap aborts the run.
 TEST(RwLockSharedStateTest, CentralizedMutexExcludesReadersOfTheSameId) {
+  TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE();
   Config cfg = rw_config(ProtocolKind::kLrc, 2);
   cfg.lock_policy = LockPolicy::kCentralized;
   cfg.check_level = CheckLevel::kAssert;
@@ -202,6 +275,7 @@ TEST(RwLockSharedStateTest, CentralizedMutexExcludesReadersOfTheSameId) {
 // the token over at once. (The checker models one lock state per id, so this
 // mix runs unchecked.)
 TEST(RwLockSharedStateTest, ForwardChainTokenPassesWhileHolderReads) {
+  TUTORDSM_SKIP_IF_UFFD_UNAVAILABLE();
   Config cfg = rw_config(ProtocolKind::kLrc, 2);
   cfg.lock_policy = LockPolicy::kForwardChain;
   System sys(cfg);
