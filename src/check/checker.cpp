@@ -23,11 +23,9 @@ DsmChecker::DsmChecker(Setup setup)
       page_size_(setup.page_size),
       level_(setup.level),
       swmr_(setup.swmr),
-      ivy_dynamic_(setup.ivy_dynamic),
       home_copyset_(setup.home_copyset),
       quorum_(setup.quorum),
       protocol_(setup.protocol),
-      manager_of_(std::move(setup.manager_of)),
       home_of_(std::move(setup.home_of)),
       dump_(std::move(setup.dump)),
       accesses_(setup.stats->counter("check.accesses")),
@@ -465,19 +463,15 @@ void DsmChecker::at_quiescence(const std::vector<const PageTable*>& tables) {
   if (swmr_ && !had_deaths) {
     for (PageId p = 0; p < n_pages_; ++p) {
       NodeId owner = kNoNode;
-      if (ivy_dynamic_) {
-        for (std::size_t n = 0; n < n_nodes_; ++n) {
-          if (!tables[n]->entry(p).is_owner) continue;
-          if (owner != kNoNode) {
-            std::ostringstream os;
-            os << "copyset violation: page " << p << " has two owners (node "
-               << owner << " and node " << n << ")";
-            report(copyset_violations_, os.str(), true);
-          }
-          owner = static_cast<NodeId>(n);
+      for (std::size_t n = 0; n < n_nodes_; ++n) {
+        if (!tables[n]->entry(p).is_owner) continue;
+        if (owner != kNoNode) {
+          std::ostringstream os;
+          os << "copyset violation: page " << p << " has two owners (node "
+             << owner << " and node " << n << ")";
+          report(copyset_violations_, os.str(), true);
         }
-      } else {
-        owner = tables[manager_of_(p)]->entry(p).owner;
+        owner = static_cast<NodeId>(n);
       }
       if (owner == kNoNode || owner >= n_nodes_) {
         std::ostringstream os;

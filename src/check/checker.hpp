@@ -63,14 +63,11 @@ class DsmChecker {
     CheckLevel level = CheckLevel::kCount;
 
     /// Protocol traits (see DESIGN.md "dsmcheck: invariant catalogue").
-    bool swmr = false;          ///< IVY family: strict single-writer
-    bool ivy_dynamic = false;   ///< owner found via is_owner, not a manager
+    bool swmr = false;          ///< IVY family: strict single-writer, owner via is_owner
     bool home_copyset = false;  ///< ERC: home tracks all non-home holders
     bool quorum = false;        ///< QRC: tagged quorum writes (acked-floor check)
     const char* protocol = "";
 
-    /// Manager of a page (IVY central/fixed); unset for other protocols.
-    std::function<NodeId(PageId)> manager_of;
     /// Static home of a page (ERC copyset checks).
     std::function<NodeId(PageId)> home_of;
 
@@ -228,11 +225,9 @@ class DsmChecker {
   const std::size_t page_size_;
   const CheckLevel level_;
   const bool swmr_;
-  const bool ivy_dynamic_;
   const bool home_copyset_;
   const bool quorum_;
   const char* const protocol_;
-  const std::function<NodeId(PageId)> manager_of_;
   const std::function<NodeId(PageId)> home_of_;
   const std::function<void(std::ostream&)> dump_;
 

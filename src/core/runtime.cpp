@@ -175,9 +175,6 @@ System::System(Config cfg) : cfg_(cfg) {
   if (cfg_.check_level != CheckLevel::kOff) {
     // Distill the protocol's invariant profile into checker traits so
     // src/check never depends on src/proto or src/core.
-    const bool ivy = cfg_.protocol == ProtocolKind::kIvyCentral ||
-                     cfg_.protocol == ProtocolKind::kIvyFixed ||
-                     cfg_.protocol == ProtocolKind::kIvyDynamic;
     DsmChecker::Setup setup;
     setup.n_nodes = cfg_.n_nodes;
     setup.n_pages = cfg_.n_pages;
@@ -185,19 +182,13 @@ System::System(Config cfg) : cfg_(cfg) {
     setup.n_locks = cfg_.n_locks;
     setup.n_barriers = cfg_.n_barriers;
     setup.level = cfg_.check_level;
-    setup.swmr = ivy;
-    setup.ivy_dynamic = cfg_.protocol == ProtocolKind::kIvyDynamic;
+    setup.swmr = cfg_.protocol == ProtocolKind::kIvyCentral ||
+                 cfg_.protocol == ProtocolKind::kIvyFixed ||
+                 cfg_.protocol == ProtocolKind::kIvyDynamic;
     setup.home_copyset = cfg_.protocol == ProtocolKind::kErcInvalidate ||
                          cfg_.protocol == ProtocolKind::kErcUpdate;
     setup.quorum = cfg_.protocol == ProtocolKind::kQrc;
     setup.protocol = to_string(cfg_.protocol);
-    if (cfg_.protocol == ProtocolKind::kIvyCentral) {
-      setup.manager_of = [](PageId) { return NodeId{0}; };
-    } else {
-      setup.manager_of = [n = cfg_.n_nodes](PageId p) {
-        return static_cast<NodeId>(p % n);
-      };
-    }
     setup.home_of = [n = cfg_.n_nodes](PageId p) {
       return static_cast<NodeId>(p % n);
     };

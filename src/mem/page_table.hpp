@@ -38,23 +38,26 @@ struct PageEntry {
 
   /// A coherence transaction initiated by this node is in flight.
   bool busy GUARDED_BY(mutex) = false;
-  /// An invalidation overtook our in-flight read reply (IVY-dynamic): the
-  /// reply's data is stale — drop it and re-request.
+  /// An invalidation overtook our in-flight read reply (IVY): the reply's
+  /// data is stale — drop it and re-request. A write reply clears it.
   bool discard_reply GUARDED_BY(mutex) = false;
-  /// Manager-side per-page transaction lock (IVY central/fixed manager).
+  /// Manager-side per-page transaction lock (IVY central/fixed, ERC).
   bool manager_busy GUARDED_BY(mutex) = false;
 
-  /// Authoritative owner, maintained at the manager (IVY central/fixed).
+  /// The manager's routing directory: where it forwards the next request
+  /// (IVY central/fixed).
   NodeId owner GUARDED_BY(mutex) = kNoNode;
   /// Probable owner hint (IVY dynamic distributed manager).
   NodeId prob_owner GUARDED_BY(mutex) = kNoNode;
-  /// This node is the true owner (IVY dynamic).
+  /// This node is the true owner (IVY, every placement): set by a write
+  /// reply, cleared by a transfer. dsmcheck finds the owner through it.
   bool is_owner GUARDED_BY(mutex) = false;
 
   /// Nodes holding read copies; valid at the owner (IVY) or home (ERC/LRC).
   NodeSet copyset GUARDED_BY(mutex);
 
-  /// Requests that arrived while `busy` — replayed on completion.
+  /// Requests that arrived while `busy` — replayed on completion (IVY
+  /// dynamic).
   std::deque<Message> parked GUARDED_BY(mutex);
   /// Requests that arrived while `manager_busy` — replayed on kConfirm.
   std::deque<Message> manager_parked GUARDED_BY(mutex);

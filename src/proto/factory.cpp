@@ -1,8 +1,7 @@
 #include "proto/ec.hpp"
 #include "proto/erc.hpp"
 #include "proto/hlrc.hpp"
-#include "proto/ivy_dynamic.hpp"
-#include "proto/ivy_manager.hpp"
+#include "proto/ivy.hpp"
 #include "proto/lrc.hpp"
 #include "proto/protocol.hpp"
 #include "proto/qrc.hpp"
@@ -27,12 +26,11 @@ const char* to_string(ProtocolKind kind) {
 std::unique_ptr<Protocol> make_protocol(NodeContext& ctx) {
   switch (ctx.cfg->protocol) {
     case ProtocolKind::kIvyCentral:
-      return std::make_unique<IvyManagerProtocol>(ctx, IvyManagerProtocol::Placement::kCentral);
+      return std::make_unique<IvyProtocol>(ctx, IvyProtocol::Placement::kCentral);
     case ProtocolKind::kIvyFixed:
-      return std::make_unique<IvyManagerProtocol>(
-          ctx, IvyManagerProtocol::Placement::kFixedDistributed);
+      return std::make_unique<IvyProtocol>(ctx, IvyProtocol::Placement::kFixed);
     case ProtocolKind::kIvyDynamic:
-      return std::make_unique<IvyDynamicProtocol>(ctx);
+      return std::make_unique<IvyProtocol>(ctx, IvyProtocol::Placement::kDynamic);
     case ProtocolKind::kErcInvalidate:
       return std::make_unique<ErcProtocol>(ctx, ErcProtocol::Mode::kInvalidate);
     case ProtocolKind::kErcUpdate:

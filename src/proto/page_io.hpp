@@ -40,6 +40,14 @@ inline std::vector<std::byte> read_page(const NodeContext& ctx, PageId page,
   return bytes;
 }
 
+/// Copies `bytes` into the page through the service window and leaves the
+/// app view's rights as they are. The caller must hold the page entry lock.
+inline void write_page(const NodeContext& ctx, PageId page,
+                       std::span<const std::byte> bytes) {
+  DSM_CHECK(bytes.size() == ctx.cfg->page_size);
+  std::memcpy(ctx.view->alias_ptr(page), bytes.data(), bytes.size());
+}
+
 /// Installs `bytes` into the view and leaves the page with `rights`.
 /// The caller must hold the page entry lock and update entry.state itself.
 /// The copy goes through the service window: the app view's protection is
@@ -47,8 +55,7 @@ inline std::vector<std::byte> read_page(const NodeContext& ctx, PageId page,
 /// store can never slip into a transiently writable page unrecorded.
 inline void install_page(const NodeContext& ctx, PageId page,
                          std::span<const std::byte> bytes, Access rights) {
-  DSM_CHECK(bytes.size() == ctx.cfg->page_size);
-  std::memcpy(ctx.view->alias_ptr(page), bytes.data(), bytes.size());
+  write_page(ctx, page, bytes);
   ctx.view->protect(page, rights);
 }
 

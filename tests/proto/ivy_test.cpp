@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "core/dsm.hpp"
 
@@ -154,6 +156,96 @@ TEST_P(IvyVariantTest, SequentialPrefetchCutsDemandMisses) {
   EXPECT_GE(snap.counter("proto.prefetches"), 4u);
   // Demand transactions started by the scanner: strictly fewer than 12.
   EXPECT_LT(snap.counter("proto.read_faults"), 12u);
+}
+
+TEST_P(IvyVariantTest, OwnerUpgradeRacingRemoteReadsKeepsSwmr) {
+  // Node 0 owns the page and writes its own word once per round; nodes
+  // 1..3 re-read their own words of the same page once per round. Node 0
+  // writes as soon as the first reader has a copy, so each write upgrades a
+  // read-only copy while the other readers' requests are still arriving.
+  // Disjoint words keep the program race-free. The owner's upgrade must be
+  // atomic with its service thread's serve decision: a reader served
+  // between the two would hold a copy outside the copyset the upgrade
+  // invalidated, and dsmcheck (assert) aborts on the owner's ReadWrite
+  // transition while that reader still holds ReadOnly.
+  constexpr std::uint64_t kRounds = 1000;
+  Config cfg = ivy_config(GetParam(), 4);
+  cfg.check_level = CheckLevel::kAssert;
+  System sys(cfg);
+  const auto words = sys.alloc_page_aligned<std::uint64_t>(4);  // page 0, home node 0
+  std::atomic<std::uint64_t> round{0};
+  sys.run([&](Worker& w) {
+    if (w.id() == 0) {
+      for (std::uint64_t i = 1; i <= kRounds; ++i) {
+        while (sys.table(0).state_of(0) == PageState::kReadWrite && i > 1)
+          std::this_thread::yield();
+        *w.get(words) = i;
+        round = i;
+      }
+    } else {
+      for (std::uint64_t seen = 0; seen < kRounds;) {
+        while (round.load() == seen) std::this_thread::yield();
+        seen = round.load();
+        test::force_read(w.get(words) + w.id());
+      }
+    }
+    w.barrier(0);
+  });
+  ASSERT_NE(sys.checker(), nullptr);
+  EXPECT_EQ(sys.checker()->violations(), 0u);
+  EXPECT_GE(sys.stats().counter("proto.write_faults"), kRounds - 1);
+}
+
+TEST_P(IvyVariantTest, SiblingThreadCannotWriteBeforeInvalidationsAreAcked) {
+  // Node 2 runs two app threads on the uffd engine. Its primary takes the
+  // page from node 0 by a write; node 1 holds a read-only copy whose
+  // invalidation the network holds back. The sibling stores to another
+  // word of the page and releases lock 0; node 1 then acquires lock 0 and
+  // reads that word. Node 2 may not be writable before node 1's copy is
+  // gone, so the sibling's store waits for the primary's fault and node 1
+  // re-fetches the page. A writer that granted itself access on the page's
+  // arrival would let the store land while node 1 still reads its stale
+  // copy.
+  std::string reason;
+  if (!uffd_available(&reason)) GTEST_SKIP() << "[uffd unavailable] " << reason;
+  Config cfg = ivy_config(GetParam(), 3);
+  cfg.fault_engine = FaultEngineKind::kUffd;
+  cfg.app_threads = 2;
+  cfg.lock_policy = LockPolicy::kCentralized;  // grants come from the home, node 0
+  cfg.chaos.enabled = true;
+  cfg.chaos.delay_probability = 1.0;
+  cfg.chaos.delay_max_us = 40'000;
+  cfg.chaos.only_types = {MsgType::kInvalidate};
+  cfg.reliability.rto_ms = 1'000;  // no retransmit overtakes the held invalidation
+  System sys(cfg);
+  const auto cell = sys.alloc_page_aligned<std::uint64_t>(2);  // page 0, home node 0
+  std::atomic<bool> writing{false};
+  std::atomic<bool> released{false};
+  std::atomic<std::uint64_t> seen{0};
+  sys.run([&](Worker& w) {
+    if (w.id() == 1) test::force_read(w.get(cell) + 1);  // node 1 takes a copy
+    w.barrier(0);
+    if (w.id() == 2) {
+      std::thread sibling = w.spawn([&](Worker& s) {
+        s.acquire(0);
+        while (!writing.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        *s.get(cell + 1) = 7;
+        s.release(0);
+        released = true;
+      });
+      writing = true;
+      *w.get(cell) = 1;
+      sibling.join();
+    } else if (w.id() == 1) {
+      while (!released.load()) std::this_thread::yield();
+      w.acquire(0);
+      seen = test::force_read(w.get(cell) + 1);
+      w.release(0);
+    }
+    w.barrier(0);
+  });
+  EXPECT_EQ(seen.load(), 7u);
 }
 
 TEST(IvyDynamic, ForwardingChainsResolveAndCompress) {
